@@ -124,10 +124,19 @@ type RaftCore struct {
 	log      []LogEntry
 	commit   uint64
 
-	// Leader volatile state (rebuilt at each election win).
+	// Leader volatile state (rebuilt at each election win). nextIndex is
+	// the send cursor: AppendRequestFor advances it past every entry it
+	// hands out, so each entry goes to a follower once per round trip, and
+	// only a rejection or a silent heartbeat interval (Tick) rewinds it.
 	nextIndex  map[string]uint64
 	matchIndex map[string]uint64
-	votes      map[string]bool
+	// rewound is the cursor a rejection or Tick last rewound to, until the
+	// follower next acknowledges; a rejection hinting at or above it answers
+	// a request sent before the rewind and is ignored.
+	rewound map[string]uint64
+	// acked records a successful response since the last Tick.
+	acked map[string]bool
+	votes map[string]bool
 
 	// Persist, when set, is called after every term or vote change — the
 	// paper's "persistent state" write point. The driver stores both before
@@ -302,6 +311,8 @@ func (c *RaftCore) becomeLeader() {
 	c.leader = c.id
 	c.nextIndex = make(map[string]uint64, len(c.others))
 	c.matchIndex = make(map[string]uint64, len(c.others))
+	c.rewound = make(map[string]uint64, len(c.others))
+	c.acked = make(map[string]bool, len(c.others))
 	for _, p := range c.others {
 		c.nextIndex[p] = c.LastIndex() + 1
 		c.matchIndex[p] = 0
@@ -329,7 +340,10 @@ const maxEntriesPerAppend = 256
 
 // AppendRequestFor builds the next AppendEntries for a follower: entries
 // from its nextIndex (empty = heartbeat), with the consistency-check
-// predecessor and the leader's commit index.
+// predecessor and the leader's commit index. It advances nextIndex past the
+// entries it returns: the caller sends every request it builds, and a
+// request lost on the way is recovered by the follower's rejection of the
+// next one or by Tick.
 func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
 	next := c.nextIndex[peer]
 	if next == 0 { // unknown peer: treat as fully behind
@@ -349,12 +363,32 @@ func (c *RaftCore) AppendRequestFor(peer string) AppendRequest {
 			end = last
 		}
 		req.Entries = append([]LogEntry(nil), c.log[next-1:end]...)
+		if c.role == RoleLeader {
+			c.nextIndex[peer] = end + 1
+		}
 	}
 	return req
 }
 
-// Behind reports whether the follower's replication cursor trails the log —
-// the driver's signal to keep streaming catch-up batches.
+// Tick is the leader's once-per-heartbeat check for lost requests: a
+// follower with entries outstanding that acknowledged nothing since the
+// previous Tick is rewound to just past its match index, so the next
+// request resends what may have been dropped.
+func (c *RaftCore) Tick() {
+	if c.role != RoleLeader {
+		return
+	}
+	for _, p := range c.others {
+		if !c.acked[p] && c.nextIndex[p] > c.matchIndex[p]+1 {
+			c.nextIndex[p] = c.matchIndex[p] + 1
+			c.rewound[p] = c.nextIndex[p]
+		}
+		c.acked[p] = false
+	}
+}
+
+// Behind reports whether the follower's send cursor trails the log — the
+// driver's signal to keep streaming catch-up batches.
 func (c *RaftCore) Behind(peer string) bool {
 	return c.role == RoleLeader && c.nextIndex[peer] <= c.LastIndex()
 }
@@ -403,6 +437,11 @@ func (c *RaftCore) HandleAppend(req AppendRequest) AppendResponse {
 			}
 			c.log = c.log[:idx-1]
 		}
+		// Decoded envelopes arrive without their caches; fill them only for
+		// the entries kept, not for the duplicates skipped above.
+		if e.Env.Tx != nil {
+			e.Env.Tx.Precompute()
+		}
 		c.log = append(c.log, e)
 	}
 	resp.Success = true
@@ -434,8 +473,17 @@ func (c *RaftCore) HandleAppendResponse(resp AppendResponse) bool {
 		if resp.MatchIndex > c.matchIndex[resp.From] {
 			c.matchIndex[resp.From] = resp.MatchIndex
 		}
-		c.nextIndex[resp.From] = c.matchIndex[resp.From] + 1
+		// Requests sent after this one are still in flight: never pull the
+		// cursor back below what was already sent.
+		if c.nextIndex[resp.From] <= c.matchIndex[resp.From] {
+			c.nextIndex[resp.From] = c.matchIndex[resp.From] + 1
+		}
+		c.acked[resp.From] = true
+		delete(c.rewound, resp.From)
 		return c.advanceCommit()
+	}
+	if r := c.rewound[resp.From]; r != 0 && resp.MatchIndex+1 >= r {
+		return false // answers a request sent before the last rewind
 	}
 	// Rewind toward the follower's hint (never below 1, never above the
 	// current nextIndex - 1).
@@ -450,6 +498,7 @@ func (c *RaftCore) HandleAppendResponse(resp AppendResponse) bool {
 		next = 1
 	}
 	c.nextIndex[resp.From] = next
+	c.rewound[resp.From] = next
 	return false
 }
 

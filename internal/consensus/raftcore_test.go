@@ -1,7 +1,10 @@
 package consensus
 
 import (
+	"reflect"
 	"testing"
+
+	"fabricsharp/internal/protocol"
 )
 
 // newCore builds a three-member core for id with a persist recorder.
@@ -388,5 +391,152 @@ func TestRaftCoreBehindTracksFollowerCursor(t *testing.T) {
 	replicate(a, b)
 	if a.Behind("b") {
 		t.Fatal("caught-up follower should not be behind")
+	}
+}
+
+// sentIndexes lists the log indexes a request carries.
+func sentIndexes(req AppendRequest) []uint64 {
+	out := make([]uint64, len(req.Entries))
+	for i := range req.Entries {
+		out[i] = req.PrevIndex + uint64(i) + 1
+	}
+	return out
+}
+
+// TestRaftCoreSendsEachEntryOncePerRoundTrip drives the driver's pattern —
+// a request on every submit while earlier ones are still in flight — against
+// a lagging follower: every entry is sent exactly once.
+func TestRaftCoreSendsEachEntryOncePerRoundTrip(t *testing.T) {
+	a, b := electLeader(t)
+	sent := map[uint64]int{}
+	var inflight []AppendRequest
+	for i := 0; i < 300; i++ {
+		if _, err := a.Append(Envelope{SubmittedBy: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		req := a.AppendRequestFor("b")
+		for _, idx := range sentIndexes(req) {
+			sent[idx]++
+		}
+		inflight = append(inflight, req)
+		if i%50 == 49 { // the follower catches up on a batch of frames
+			for _, r := range inflight {
+				resp := b.HandleAppend(r)
+				if !resp.Success {
+					t.Fatalf("in-order pipelined append rejected: %+v", resp)
+				}
+				a.HandleAppendResponse(resp)
+			}
+			inflight = nil
+		}
+	}
+	for idx := uint64(1); idx <= a.LastIndex(); idx++ {
+		if sent[idx] != 1 {
+			t.Fatalf("entry %d sent %d times", idx, sent[idx])
+		}
+	}
+	if b.LastIndex() != a.LastIndex() || a.CommitIndex() != a.LastIndex() {
+		t.Fatalf("follower %d, leader %d, commit %d", b.LastIndex(), a.LastIndex(), a.CommitIndex())
+	}
+}
+
+// TestRaftCoreResendsLostAppend drops a request on the way: the follower
+// stays silent, so the next Tick rewinds to the match index and the entries
+// go out again.
+func TestRaftCoreResendsLostAppend(t *testing.T) {
+	a, b := electLeader(t)
+	replicate(a, b) // no-op replicated: match 1
+	a.Tick()
+	for i := 0; i < 3; i++ {
+		if _, err := a.Append(Envelope{SubmittedBy: "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost := a.AppendRequestFor("b")
+	if len(lost.Entries) != 3 {
+		t.Fatalf("expected the 3 new entries, got %d", len(lost.Entries))
+	}
+	if hb := a.AppendRequestFor("b"); len(hb.Entries) != 0 {
+		t.Fatalf("entries resent before any loss was detected: %v", sentIndexes(hb))
+	}
+	a.Tick() // a heartbeat interval with no answer
+	again := a.AppendRequestFor("b")
+	if got := sentIndexes(again); len(got) != 3 || got[0] != 2 {
+		t.Fatalf("lost entries not resent after a silent tick: %v", got)
+	}
+	a.HandleAppendResponse(b.HandleAppend(again))
+	if b.LastIndex() != a.LastIndex() || a.CommitIndex() != a.LastIndex() {
+		t.Fatalf("resend did not land: follower %d, leader %d, commit %d", b.LastIndex(), a.LastIndex(), a.CommitIndex())
+	}
+	// An acknowledged follower is not rewound by the next tick.
+	a.Tick()
+	if hb := a.AppendRequestFor("b"); len(hb.Entries) != 0 {
+		t.Fatalf("caught-up follower was sent %v", sentIndexes(hb))
+	}
+}
+
+// TestRaftCoreRewindsRejectedAppend loses one request among several: the
+// first rejection rewinds to the follower's hint, the resend fills the gap,
+// and rejections of requests sent before the rewind are ignored rather than
+// rewinding (and resending) again.
+func TestRaftCoreRewindsRejectedAppend(t *testing.T) {
+	a, b := electLeader(t)
+	replicate(a, b)
+	var reqs []AppendRequest
+	for i := 0; i < 4; i++ {
+		if _, err := a.Append(Envelope{SubmittedBy: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, a.AppendRequestFor("b"))
+	}
+	// reqs[0] (index 2) is dropped; the rest arrive and are rejected.
+	r1 := b.HandleAppend(reqs[1])
+	r2 := b.HandleAppend(reqs[2])
+	if r1.Success || r2.Success {
+		t.Fatal("append past a gap accepted")
+	}
+	a.HandleAppendResponse(r1)
+	resend := a.AppendRequestFor("b")
+	if got := sentIndexes(resend); len(got) != 4 || got[0] != 2 {
+		t.Fatalf("rejection should rewind to index 2 and resend 2..5, got %v", got)
+	}
+	a.HandleAppendResponse(r2) // answers a request from before the rewind
+	if dup := a.AppendRequestFor("b"); len(dup.Entries) != 0 {
+		t.Fatalf("stale rejection rewound again: resent %v", sentIndexes(dup))
+	}
+	a.HandleAppendResponse(b.HandleAppend(reqs[3])) // also stale
+	a.HandleAppendResponse(b.HandleAppend(resend))
+	if b.LastIndex() != a.LastIndex() || a.CommitIndex() != a.LastIndex() {
+		t.Fatalf("follower %d, leader %d, commit %d", b.LastIndex(), a.LastIndex(), a.CommitIndex())
+	}
+}
+
+// TestRaftCorePrecomputesOnlyAppendedEntries: HandleAppend fills the caches
+// of the transactions it appends and leaves skipped duplicates untouched.
+func TestRaftCorePrecomputesOnlyAppendedEntries(t *testing.T) {
+	b := newCore(t, "b")
+	tx := func(id string) *protocol.Transaction {
+		return &protocol.Transaction{ID: protocol.TxID(id), RWSet: protocol.RWSet{Reads: []protocol.ReadItem{{Key: "k"}}}}
+	}
+	first := tx("t1")
+	b.HandleAppend(AppendRequest{Term: 1, LeaderID: "a", Entries: []LogEntry{{Term: 1, Env: Envelope{Tx: first}}}})
+	dup, fresh := tx("t1"), tx("t2")
+	b.HandleAppend(AppendRequest{Term: 1, LeaderID: "a", Entries: []LogEntry{
+		{Term: 1, Env: Envelope{Tx: dup}},
+		{Term: 1, Env: Envelope{Tx: fresh}},
+	}})
+	precomputed := func(id string) *protocol.Transaction {
+		p := tx(id)
+		p.Precompute()
+		return p
+	}
+	if !reflect.DeepEqual(first, precomputed("t1")) {
+		t.Error("appended entry not precomputed")
+	}
+	if !reflect.DeepEqual(dup, tx("t1")) {
+		t.Error("skipped duplicate was precomputed")
+	}
+	if b.Entry(2).Env.Tx != fresh || !reflect.DeepEqual(fresh, precomputed("t2")) {
+		t.Error("second appended entry not precomputed")
 	}
 }

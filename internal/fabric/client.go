@@ -57,9 +57,6 @@ func (c *Client) SubmitAsync(contract, function string, args ...string) (protoco
 	if _, err := peer.Endorse(c.net.registry, tx); err != nil {
 		return "", nil, err
 	}
-	// Fill the key caches while the client still has exclusive access: every
-	// orderer and validator downstream reads them.
-	tx.RWSet.Precompute()
 	ch := make(chan TxResult, 1)
 	c.net.waitersMu.Lock()
 	c.net.waiters[tx.ID] = ch

@@ -111,7 +111,6 @@ func (c *Client) SubmitCommitted(contract, function string, args ...string) (TxR
 	if _, err := peer.Endorse(c.net.registry, tx); err != nil {
 		return TxResult{}, err
 	}
-	tx.RWSet.Precompute()
 	ch := make(chan TxResult, 1)
 	c.net.waitersMu.Lock()
 	c.net.waiters[tx.ID] = ch

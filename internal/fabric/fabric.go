@@ -266,6 +266,7 @@ type blockAck struct {
 // pipelined committer.
 type Peer struct {
 	id        *identity.Identity
+	msp       *identity.Service
 	state     *statedb.DB
 	chain     *ledger.Chain
 	committer *commit.Committer
@@ -364,7 +365,7 @@ func NewNetwork(opts Options) (*Network, error) {
 				return nil, fmt.Errorf("fabric: seeding %s genesis: %w", name, err)
 			}
 		}
-		n.peers = append(n.peers, &Peer{id: id, state: state, chain: chain})
+		n.peers = append(n.peers, &Peer{id: id, msp: n.msp, state: state, chain: chain})
 		peerIDs = append(peerIDs, name)
 	}
 	// The paper's endorsement policy: any single peer endorses
@@ -829,7 +830,9 @@ func simulateOnPeer(contract chaincode.Contract, function string, args []string,
 }
 
 // Endorse simulates a proposal on this peer against its latest block
-// snapshot and signs the result.
+// snapshot and signs the result. It precomputes tx's caches before signing,
+// so tx must not change afterwards; the signature is recorded as verified in
+// the network's MSP, which every in-process orderer and peer shares.
 func (p *Peer) Endorse(registry *chaincode.Registry, tx *protocol.Transaction) ([]byte, error) {
 	contract, ok := registry.Get(tx.Contract)
 	if !ok {
@@ -842,9 +845,10 @@ func (p *Peer) Endorse(registry *chaincode.Registry, tx *protocol.Transaction) (
 	}
 	tx.SnapshotBlock = snap
 	tx.RWSet = rwset
+	tx.Precompute()
 	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
 		EndorserID: p.id.ID,
-		Signature:  p.id.Sign(tx.Digest()),
+		Signature:  p.msp.SignAs(p.id, tx.Digest()),
 	})
 	return result, nil
 }

@@ -8,6 +8,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -60,6 +61,12 @@ func (id *Identity) Public() ed25519.PublicKey { return id.pub }
 type Service struct {
 	mu      sync.RWMutex
 	members map[string]memberRecord
+
+	// memo remembers signatures this process already verified (or produced
+	// through SignAs), so an endorsement seen by several components of one
+	// process — the replicas of a standalone orderer, a peer validating its
+	// own endorsements — costs one ed25519 verification, not one each.
+	memo sigMemo
 }
 
 type memberRecord struct {
@@ -69,7 +76,9 @@ type memberRecord struct {
 }
 
 // NewService creates an empty membership service.
-func NewService() *Service { return &Service{members: make(map[string]memberRecord)} }
+func NewService() *Service {
+	return &Service{members: make(map[string]memberRecord), memo: newSigMemo()}
+}
 
 // Enroll registers a new member and returns its credential. Member IDs are
 // unique; re-enrollment is rejected.
@@ -124,7 +133,9 @@ func Deterministic(id string, role Role) *Identity {
 	}
 }
 
-// Revoke bans a member; its signatures stop verifying.
+// Revoke bans a member; its signatures stop verifying. It also forgets
+// every remembered verification, so no verdict from before the revocation
+// outlives it.
 func (s *Service) Revoke(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,28 +143,44 @@ func (s *Service) Revoke(id string) {
 		rec.revoked = true
 		s.members[id] = rec
 	}
+	s.memo.reset()
+}
+
+// member returns id's record when id is enrolled and not revoked.
+func (s *Service) member(id string) (memberRecord, bool) {
+	s.mu.RLock()
+	rec, ok := s.members[id]
+	s.mu.RUnlock()
+	return rec, ok && !rec.revoked
 }
 
 // RoleOf returns the member's role.
 func (s *Service) RoleOf(id string) (Role, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, ok := s.members[id]
-	if !ok || rec.revoked {
+	rec, ok := s.member(id)
+	if !ok {
 		return 0, false
 	}
 	return rec.role, true
 }
 
-// Verify checks that sig is member id's signature over msg.
+// Verify checks that sig is member id's signature over msg. It always runs
+// the ed25519 check; endorsement checks go through the memo instead.
 func (s *Service) Verify(id string, msg, sig []byte) bool {
-	s.mu.RLock()
-	rec, ok := s.members[id]
-	s.mu.RUnlock()
-	if !ok || rec.revoked {
-		return false
+	rec, ok := s.member(id)
+	return ok && ed25519.Verify(rec.pub, msg, sig)
+}
+
+// SignAs signs msg with id's key, as id.Sign does, and remembers the
+// signature as verified when id is an enrolled, unrevoked member whose
+// registered key is id's own — so this process never verifies what it
+// signed itself. A credential whose key is not the registered one signs but
+// is remembered nothing.
+func (s *Service) SignAs(id *Identity, msg []byte) []byte {
+	sig := id.Sign(msg)
+	if rec, ok := s.member(id.ID); ok && rec.pub.Equal(id.pub) {
+		s.memo.record(memoKey(id.ID, msg, sig))
 	}
-	return ed25519.Verify(rec.pub, msg, sig)
+	return sig
 }
 
 // Members lists enrolled, unrevoked member IDs with the given role, sorted.
@@ -237,11 +264,13 @@ func (s *Service) CheckEndorsements(tx *protocol.Transaction, policy Policy) err
 	digest := tx.Digest()
 	valid := make(map[string]bool, len(tx.Endorsements))
 	for _, e := range tx.Endorsements {
-		role, ok := s.RoleOf(e.EndorserID)
-		if !ok || role != RolePeer {
+		rec, ok := s.member(e.EndorserID)
+		if !ok || rec.role != RolePeer {
 			continue
 		}
-		if s.Verify(e.EndorserID, digest, e.Signature) {
+		if s.memo.verify(memoKey(e.EndorserID, digest, e.Signature), func() bool {
+			return ed25519.Verify(rec.pub, digest, e.Signature)
+		}) {
 			valid[e.EndorserID] = true
 		}
 	}
@@ -249,4 +278,109 @@ func (s *Service) CheckEndorsements(tx *protocol.Transaction, policy Policy) err
 		return fmt.Errorf("identity: endorsement policy %s unsatisfied by %d valid endorsements", policy, len(valid))
 	}
 	return nil
+}
+
+// memoCap bounds the verified-signature memo per Service. An entry has to
+// outlive the gap between a signature's first check and its last one in
+// this process (endorsement to peer validation, or one orderer replica's cut
+// to the other's); at a few thousand transactions per second that is well
+// under a second's worth. Keys are fixed-size, so the memo's memory is
+// bounded by the cap alone.
+const memoCap = 1 << 14
+
+// sigKey identifies one (endorser, message, signature) triple.
+type sigKey [sha256.Size]byte
+
+// memoKey hashes the triple with length prefixes, so no two triples share a
+// preimage.
+func memoKey(id string, msg, sig []byte) sigKey {
+	var stack [256]byte
+	b := stack[:0]
+	b = binary.BigEndian.AppendUint32(b, uint32(len(id)))
+	b = append(b, id...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(msg)))
+	b = append(b, msg...)
+	b = append(b, sig...)
+	return sha256.Sum256(b)
+}
+
+// sigMemo is a FIFO-evicted set of verified signature keys plus the
+// verifications in flight, so concurrent checks of one key (two orderer
+// replicas cutting the same block) share a single ed25519 call. Only
+// successes are remembered: a failing signature is re-checked each time.
+type sigMemo struct {
+	mu       sync.Mutex
+	verified map[sigKey]struct{}
+	fifo     []sigKey // insertion order; overwritten from next once full
+	next     int
+	inflight map[sigKey]*sigCall
+}
+
+type sigCall struct {
+	done chan struct{}
+	ok   bool
+}
+
+func newSigMemo() sigMemo {
+	return sigMemo{verified: make(map[sigKey]struct{}), inflight: make(map[sigKey]*sigCall)}
+}
+
+// verify reports whether k is verified, running check at most once across
+// concurrent callers and remembering a success.
+func (m *sigMemo) verify(k sigKey, check func() bool) bool {
+	m.mu.Lock()
+	if _, ok := m.verified[k]; ok {
+		m.mu.Unlock()
+		return true
+	}
+	if c := m.inflight[k]; c != nil {
+		m.mu.Unlock()
+		<-c.done
+		return c.ok
+	}
+	c := &sigCall{done: make(chan struct{})}
+	m.inflight[k] = c
+	m.mu.Unlock()
+
+	defer close(c.done)
+	c.ok = check()
+	m.mu.Lock()
+	delete(m.inflight, k)
+	if c.ok {
+		m.addLocked(k)
+	}
+	m.mu.Unlock()
+	return c.ok
+}
+
+// record remembers k as verified.
+func (m *sigMemo) record(k sigKey) {
+	m.mu.Lock()
+	m.addLocked(k)
+	m.mu.Unlock()
+}
+
+func (m *sigMemo) addLocked(k sigKey) {
+	if _, dup := m.verified[k]; dup {
+		return
+	}
+	m.verified[k] = struct{}{}
+	if len(m.fifo) < memoCap {
+		m.fifo = append(m.fifo, k)
+		return
+	}
+	delete(m.verified, m.fifo[m.next])
+	m.fifo[m.next] = k
+	m.next = (m.next + 1) % memoCap
+}
+
+// reset forgets every remembered verification. A verification in flight
+// may still record its result afterwards; that is harmless, because the
+// memo is consulted only after the membership and revocation checks.
+func (m *sigMemo) reset() {
+	m.mu.Lock()
+	m.verified = make(map[sigKey]struct{})
+	m.fifo = nil
+	m.next = 0
+	m.mu.Unlock()
 }

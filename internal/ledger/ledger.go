@@ -234,13 +234,19 @@ func (c *Chain) SealRescued(txs []*protocol.Transaction, validation []protocol.V
 }
 
 // Append adds an externally assembled block, enforcing linkage (agreement,
-// no skipping) before accepting it.
+// no skipping) and that its data hash binds its transactions before
+// accepting it.
 func (c *Chain) Append(blk *Block) error {
+	if want := DataHash(blk.Transactions); !bytes.Equal(blk.Header.DataHash, want) {
+		return fmt.Errorf("ledger: block %d data-hash mismatch", blk.Header.Number)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.appendLocked(blk)
 }
 
+// appendLocked links blk onto the tip and persists it. The data hash is the
+// caller's to check: SealRescued computed it from the same transactions.
 func (c *Chain) appendLocked(blk *Block) error {
 	if len(c.blocks) > 0 {
 		tip := c.blocks[len(c.blocks)-1]
@@ -250,9 +256,6 @@ func (c *Chain) appendLocked(blk *Block) error {
 		if !bytes.Equal(blk.Header.PrevHash, HashHeader(tip.Header)) {
 			return fmt.Errorf("ledger: block %d prev-hash mismatch", blk.Header.Number)
 		}
-	}
-	if want := DataHash(blk.Transactions); !bytes.Equal(blk.Header.DataHash, want) {
-		return fmt.Errorf("ledger: block %d data-hash mismatch", blk.Header.Number)
 	}
 	if blk.Validation != nil && len(blk.Validation) != len(blk.Transactions) {
 		return fmt.Errorf("ledger: block %d validation metadata length mismatch", blk.Header.Number)

@@ -272,9 +272,9 @@ func (p *pipeline) endorse(proc *sim.Proc, id protocol.TxID, op workload.Op, sub
 		SnapshotBlock: snap,
 		RWSet:         rwset,
 	}
-	// Fill the key caches before the transaction is shared with the
-	// scheduler and validator stages.
-	tx.RWSet.Precompute()
+	// Fill the caches before the transaction is shared with the scheduler
+	// and validator stages.
+	tx.Precompute()
 	if p.cfg.System == sched.SystemFabricPP && sched.ReadsAcrossBlocks(tx) {
 		// Fabric++'s simulation-phase early abort.
 		p.res.EarlyAborts.Inc(protocol.AbortSimulation)

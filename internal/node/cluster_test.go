@@ -115,13 +115,15 @@ func awaitConvergence(t *testing.T, client *Client, ord *Orderer) {
 			if err != nil {
 				t.Fatalf("peer %d status: %v", i, err)
 			}
-			if st.Blocks >= ordStatus.Blocks {
+			// A peer appends a block to its chain before it applies the
+			// block's writes, so wait for the state height too.
+			if st.Blocks >= ordStatus.Blocks && st.Height >= ordStatus.Height {
 				statuses[i] = st
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("peer %d stuck at %d/%d blocks (orderer err: %v)",
-					i, st.Blocks, ordStatus.Blocks, ord.Err())
+				t.Fatalf("peer %d stuck at %d/%d blocks, height %d/%d (orderer err: %v)",
+					i, st.Blocks, ordStatus.Blocks, st.Height, ordStatus.Height, ord.Err())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -321,9 +321,12 @@ func (p *Peer) handleProposal(c *transport.Conn, payload []byte) {
 		SnapshotBlock: snap,
 		RWSet:         rwset,
 	}
+	// Signing through the MSP records the signature as verified, so this
+	// peer's validator skips its own endorsements. No Precompute: the
+	// transaction is encoded and dropped, and its one digest is this one.
 	tx.Endorsements = append(tx.Endorsements, protocol.Endorsement{
 		EndorserID: p.id.ID,
-		Signature:  p.id.Sign(tx.Digest()),
+		Signature:  p.msp.SignAs(p.id, tx.Digest()),
 	})
 	_ = c.Send(wire.MsgProposalResp, wire.EncodeProposalResp(&wire.ProposalResp{OK: true, Tx: tx}))
 }

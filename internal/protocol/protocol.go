@@ -110,46 +110,87 @@ type Transaction struct {
 	SnapshotBlock uint64
 	RWSet         RWSet
 	Endorsements  []Endorsement
+
+	// digest memoizes Digest; filled only by Precompute (see there).
+	digest []byte
 }
 
 // StartTS returns the transaction's start timestamp (Definition 3).
 func (t *Transaction) StartTS() seqno.Seq { return seqno.Snapshot(t.SnapshotBlock) }
 
-// Digest computes a deterministic hash over the transaction's identity and
-// simulation effects. It is what endorsers sign and what the hash-commitment
-// scheme of Section 3.5 publishes before disclosure.
+// Precompute fills the transaction's read-only caches: the RWSet's
+// distinct-key sets and the digest memo Digest returns. The same contract as
+// RWSet.Precompute applies — call it once where the transaction is built or
+// decoded, with exclusive access, and never mutate the transaction after.
+// Digest deliberately does not fill the memo lazily: a transaction changed
+// after a lazy fill (as the tampering tests do) would keep its old digest.
+func (t *Transaction) Precompute() {
+	t.RWSet.Precompute()
+	d := t.computeDigest()
+	t.digest = d[:]
+}
+
+// Digest returns a deterministic hash over the transaction's identity and
+// simulation effects: the memo when Precompute filled it, a fresh hash
+// otherwise. It is what endorsers sign and what the hash-commitment scheme
+// of Section 3.5 publishes before disclosure. Callers must not mutate the
+// returned slice.
 func (t *Transaction) Digest() []byte {
-	h := sha256.New()
-	writeLenPrefixed := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
+	if t.digest != nil {
+		return t.digest
 	}
-	writeLenPrefixed(string(t.ID))
-	writeLenPrefixed(t.ClientID)
-	writeLenPrefixed(t.Contract)
-	writeLenPrefixed(t.Function)
+	d := t.computeDigest()
+	return d[:]
+}
+
+// computeDigest hashes the canonical preimage: length-prefixed strings, the
+// snapshot block, each read's key and version, each write's key, value and
+// delete flag. The preimage is assembled in one buffer (on the stack for
+// small transactions) and hashed in one call.
+func (t *Transaction) computeDigest() [sha256.Size]byte {
+	size := 4*4 + len(t.ID) + len(t.ClientID) + len(t.Contract) + len(t.Function) + 8
 	for _, a := range t.Args {
-		writeLenPrefixed(a)
+		size += 4 + len(a)
 	}
-	var blk [8]byte
-	binary.BigEndian.PutUint64(blk[:], t.SnapshotBlock)
-	h.Write(blk[:])
 	for _, r := range t.RWSet.Reads {
-		writeLenPrefixed(r.Key)
-		h.Write(r.Version.Bytes())
+		size += 4 + len(r.Key) + 12
 	}
 	for _, w := range t.RWSet.Writes {
-		writeLenPrefixed(w.Key)
-		writeLenPrefixed(string(w.Value))
+		size += 4 + len(w.Key) + 4 + len(w.Value) + 1
+	}
+	var stack [512]byte
+	b := stack[:0]
+	if size > len(stack) {
+		b = make([]byte, 0, size)
+	}
+	b = appendLenPrefixed(b, string(t.ID))
+	b = appendLenPrefixed(b, t.ClientID)
+	b = appendLenPrefixed(b, t.Contract)
+	b = appendLenPrefixed(b, t.Function)
+	for _, a := range t.Args {
+		b = appendLenPrefixed(b, a)
+	}
+	b = binary.BigEndian.AppendUint64(b, t.SnapshotBlock)
+	for _, r := range t.RWSet.Reads {
+		b = appendLenPrefixed(b, r.Key)
+		b = r.Version.AppendTo(b)
+	}
+	for _, w := range t.RWSet.Writes {
+		b = appendLenPrefixed(b, w.Key)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(w.Value)))
+		b = append(b, w.Value...)
 		if w.Delete {
-			h.Write([]byte{1})
+			b = append(b, 1)
 		} else {
-			h.Write([]byte{0})
+			b = append(b, 0)
 		}
 	}
-	return h.Sum(nil)
+	return sha256.Sum256(b)
+}
+
+func appendLenPrefixed(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
 // DigestHex is Digest rendered as a hex string, used as the pre-disclosure

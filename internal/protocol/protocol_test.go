@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"fabricsharp/internal/seqno"
@@ -57,6 +58,57 @@ func TestDigestDeterministicAndSensitive(t *testing.T) {
 	}
 	if len(a.DigestHex()) != 64 {
 		t.Errorf("DigestHex length = %d", len(a.DigestHex()))
+	}
+}
+
+// TestDigestGolden pins the digest encoding: endorsement signatures and
+// block data hashes are made over these bytes, so any change to the preimage
+// must show up here rather than silently invalidating signatures. The large
+// case overflows the digest's stack buffer and sets a delete flag.
+func TestDigestGolden(t *testing.T) {
+	large := sampleTx()
+	for i := 0; i < 64; i++ {
+		large.RWSet.Reads = append(large.RWSet.Reads, ReadItem{Key: fmt.Sprintf("metric/%03d", i), Version: seqno.Commit(uint64(i), uint32(i))})
+	}
+	large.RWSet.Writes[1].Delete = true
+	for _, tc := range []struct {
+		name string
+		tx   *Transaction
+		want string
+	}{
+		{"sample", sampleTx(), "13ab6243b357665475577008c2a9685eea3c4345669456f4d9672a64272eb39c"},
+		{"large", large, "4ae2dc1a5c91cef713907be5f04e1200b0aa49f7463d2b855147e96440a43d6a"},
+	} {
+		if got := tc.tx.DigestHex(); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
+		tc.tx.Precompute()
+		if got := tc.tx.DigestHex(); got != tc.want {
+			t.Errorf("%s: precomputed digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestPrecomputeMemoizesDigest(t *testing.T) {
+	tx := sampleTx()
+	want := tx.Digest()
+	tx.Precompute()
+	if !bytes.Equal(tx.Digest(), want) {
+		t.Fatal("precomputed digest differs from the computed one")
+	}
+	if got := tx.RWSet.ReadKeys(); len(got) != 2 {
+		t.Errorf("Precompute left the key caches empty: %v", got)
+	}
+	// The memo is what Digest returns from then on: no hashing per call.
+	if allocs := testing.AllocsPerRun(100, func() { _ = tx.Digest() }); allocs != 0 {
+		t.Errorf("memoized Digest allocates %.0f times per call", allocs)
+	}
+	// Without Precompute every call rehashes, so a change is always seen.
+	fresh := sampleTx()
+	_ = fresh.Digest()
+	fresh.RWSet.Writes[0].Value = []byte("91")
+	if bytes.Equal(fresh.Digest(), want) {
+		t.Error("Digest filled a memo lazily")
 	}
 }
 

@@ -343,8 +343,8 @@ func (s *RaftService) enqueueLocked(addr string, t wire.MsgType, payload []byte)
 	}
 }
 
-// replicateToAllLocked queues one AppendEntries (entries or heartbeat) per
-// follower.
+// replicateToAllLocked queues one AppendEntries per follower: the entries
+// not yet sent to it, or a heartbeat.
 func (s *RaftService) replicateToAllLocked() {
 	for _, addr := range s.core.Others() {
 		req := s.core.AppendRequestFor(addr)
@@ -444,6 +444,7 @@ func (s *RaftService) tick() {
 			return
 		}
 		if s.core.Role() == consensus.RoleLeader {
+			s.core.Tick() // resend what a silent follower may have lost
 			s.replicateToAllLocked()
 			if m := s.cfg.Metrics; m != nil {
 				m.ReplicationLag.Set(int64(s.core.LastIndex() - s.core.CommitIndex()))

@@ -37,7 +37,9 @@ func decodeEnvelopeBody(d *decoder) consensus.Envelope {
 			if err := sub.finish(); err != nil {
 				d.fail("envelope tx: %v", err)
 			} else {
-				tx.RWSet.Precompute()
+				// Left unprecomputed: a resent batch may hold entries the
+				// follower already has, which RaftCore.HandleAppend skips;
+				// it precomputes the ones it appends.
 				env.Tx = tx
 			}
 		}

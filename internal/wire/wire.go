@@ -418,16 +418,16 @@ func decodeTransactionBody(d *decoder) *protocol.Transaction {
 }
 
 // DecodeTransaction decodes a canonical transaction encoding. The decoded
-// transaction's distinct-key caches are precomputed (the decode site has
-// exclusive access — the same contract the in-process build sites follow),
-// so hot paths downstream share them safely.
+// transaction's distinct-key caches and digest are precomputed (the decode
+// site has exclusive access — the same contract the in-process build sites
+// follow), so hot paths downstream share them safely.
 func DecodeTransaction(b []byte) (*protocol.Transaction, error) {
 	d := &decoder{buf: b}
 	tx := decodeTransactionBody(d)
 	if err := d.finish(); err != nil {
 		return nil, fmt.Errorf("transaction: %w", err)
 	}
-	tx.RWSet.Precompute()
+	tx.Precompute()
 	return tx, nil
 }
 
@@ -488,7 +488,7 @@ func DecodeBlock(b []byte) (*ledger.Block, error) {
 			if err := sub.finish(); err != nil {
 				return nil, fmt.Errorf("block tx %d: %w", i, err)
 			}
-			tx.RWSet.Precompute()
+			tx.Precompute()
 			blk.Transactions[i] = tx
 		}
 	}
@@ -586,6 +586,8 @@ func DecodeProposalResp(b []byte) (*ProposalResp, error) {
 		return nil, fmt.Errorf("proposal-resp: %w", err)
 	}
 	if r.OK {
+		// Only the key caches: the client that receives an endorsement
+		// forwards it without hashing it, so a digest here would be wasted.
 		r.Tx.RWSet.Precompute()
 	}
 	return r, nil

@@ -69,9 +69,11 @@ func TestTransactionRoundTrip(t *testing.T) {
 		if re := EncodeTransaction(got); !bytes.Equal(re, enc) {
 			t.Fatalf("case %d: re-encode diverged", i)
 		}
-		// The decode site precomputes the key caches.
-		if len(tx.RWSet.Reads) > 0 && got.RWSet.ReadKeys() == nil {
-			t.Fatalf("case %d: read keys not precomputed", i)
+		// The decode site precomputes the key caches and the digest memo:
+		// the decode equals the original precomputed, field for field.
+		tx.Precompute()
+		if !reflect.DeepEqual(got, tx) {
+			t.Fatalf("case %d: decode differs from the precomputed original:\n got %+v\nwant %+v", i, got, tx)
 		}
 	}
 }
@@ -128,6 +130,12 @@ func TestBlockRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Validation, blk.Validation) {
 			t.Fatalf("block %d: sealed verdicts diverged", blk.Header.Number)
+		}
+		for _, tx := range blk.Transactions {
+			tx.Precompute()
+		}
+		if !reflect.DeepEqual(got.Transactions, blk.Transactions) {
+			t.Fatalf("block %d: decoded transactions differ from the precomputed originals", blk.Header.Number)
 		}
 		if re := EncodeBlock(got); !bytes.Equal(re, enc) {
 			t.Fatalf("block %d: re-encode diverged", blk.Header.Number)
